@@ -18,8 +18,6 @@ Usage (also available as ``python -m repro``):
     repro check src --baseline qa-baseline.json         # QA-F flow analyzer
     repro check src --sarif findings.sarif              # SARIF 2.1 output
     repro selfcheck                                     # sanitizer battery
-    repro perf --out BENCH_engine.json                  # engine benchmarks
-    repro perf --quick --baseline BENCH_engine.json     # regression check
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     full_report,
@@ -58,6 +56,7 @@ from repro.chaos.faults import FAULT_FAMILIES, FAULT_INTENSITIES
 from repro.qa.lint import iter_python_files, lint_paths
 from repro.qa.rules import INVARIANTS, RULES
 from repro.runner import (
+    CampaignPlan,
     CheckpointError,
     RunnerError,
     UnitExecutionError,
@@ -362,47 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prove every runtime invariant check fires (sanitizer battery)",
     )
 
-    perf = sub.add_parser(
-        "perf",
-        help="run engine hot-path benchmarks (optimised vs seed engine path)",
-    )
-    perf.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller workloads for CI smoke runs (noisier numbers)",
-    )
-    perf.add_argument(
-        "--only",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated bench subset (see repro.perf.BENCHES)",
-    )
-    perf.add_argument(
-        "--out",
-        default="BENCH_engine.json",
-        metavar="FILE",
-        help="write the JSON report here (default: BENCH_engine.json)",
-    )
-    perf.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="compare against a stored report; exit 1 on regression",
-    )
-    perf.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="relative slowdown counted as a regression (default 0.25)",
-    )
-    perf.add_argument(
-        "--obs",
-        action="store_true",
-        help="instrument each bench; adds an obs_summary block per bench "
-        "to the JSON report (numbers include instrumentation overhead)",
-    )
-
     obs = sub.add_parser(
         "obs",
         help="inspect obs traces written by --obs campaign runs",
@@ -554,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
-    """Campaign-runner flags shared by the section2/section4 subcommands."""
+    """Campaign-runner and obs flags shared by every study subcommand."""
     group = parser.add_argument_group("execution")
     group.add_argument(
         "--jobs",
@@ -730,70 +688,57 @@ def _write_obs_trace(observer, out: str, shard_dir: str) -> None:
     )
 
 
-def _cmd_section2(args) -> int:
-    sites = _dedupe("sites", _split_csv(args.sites)) or ["eBay"]
+def _study_scenario(
+    sites: Sequence[str], seed: int, clients_csv: Optional[str] = None
+) -> Tuple[Scenario, Optional[List[str]]]:
+    """The study preamble: check sites, build the scenario, check ``--clients``."""
     unknown = [s for s in sites if s not in SITES]
     if unknown:
-        print(f"error: unknown sites {unknown}; choose from {list(SITES)}",
-              file=sys.stderr)
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=tuple(sites)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
-        if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
-    study = Section2Study(scenario, repetitions=args.reps)
-    with _obs_capture(args):
-        store = study.run(sites=sites, clients=clients, **_runner_kwargs(args))
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    return 0
+        raise _UsageError(f"unknown sites {unknown}; choose from {list(SITES)}")
+    scenario = Scenario.build(ScenarioSpec.section2(sites=tuple(sites)), seed=seed)
+    clients = _dedupe("clients", _split_csv(clients_csv))
+    missing = [c for c in clients or () if c not in scenario.client_names]
+    if missing:
+        raise _UsageError(f"unknown clients {missing}")
+    return scenario, clients
 
 
-def _cmd_section4(args) -> int:
+def _int_list(value: str, flag: str) -> List[int]:
     try:
-        set_sizes = [int(v) for v in args.set_sizes.split(",") if v.strip()]
+        return [int(v) for v in value.split(",") if v.strip()]
     except ValueError:
-        print("error: --set-sizes must be comma-separated integers", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{flag} must be comma-separated integers") from None
+
+
+#: What a study planner hands the shared epilogue: the scenario, the
+#: campaign plan and an optional renderer printed after the store is saved.
+_StudyPlan = Tuple[Scenario, CampaignPlan, Optional[Callable[[list], str]]]
+
+
+def _plan_section2(args) -> _StudyPlan:
+    sites = _dedupe("sites", _split_csv(args.sites)) or ["eBay"]
+    scenario, clients = _study_scenario(sites, args.seed, args.clients)
+    study = Section2Study(scenario, repetitions=args.reps)
+    return scenario, study.plan(sites=sites, clients=clients), None
+
+
+def _plan_section4(args) -> _StudyPlan:
+    set_sizes = _int_list(args.set_sizes, "--set-sizes")
     if not set_sizes or any(k < 1 for k in set_sizes):
-        print("error: set sizes must be positive", file=sys.stderr)
-        return 2
+        raise _UsageError("set sizes must be positive")
     scenario = Scenario.build(ScenarioSpec.section4(), seed=args.seed)
     study = Section4Study(scenario, repetitions=args.reps)
-    with _obs_capture(args):
-        store = study.run_random_set_sweep(set_sizes, **_runner_kwargs(args))
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    return 0
+    return scenario, study.plan_random_set_sweep(set_sizes), None
 
 
-def _cmd_failures(args) -> int:
+def _plan_failures(args) -> _StudyPlan:
     from repro.workloads.failures import (
         FAILURES_SESSION_CONFIG,
         FailureStudyParams,
         plan_failures,
     )
 
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
-        if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
+    scenario, clients = _study_scenario([args.site], args.seed, args.clients)
     reps = args.reps
     if args.quick:
         # A fixed tiny campaign: deterministic, covers every injection mode
@@ -815,20 +760,10 @@ def _cmd_failures(args) -> int:
         site=args.site,
         clients=clients,
     )
-    with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
-    store = result.store
-    if store is None:  # pragma: no cover - max_units is not exposed here
-        print("campaign incomplete; resume with --checkpoint/--resume")
-        return 1
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_availability(store.records))
-    return 0
+    return scenario, plan, render_availability
 
 
-def _cmd_mhttp(args) -> int:
+def _plan_mhttp(args) -> _StudyPlan:
     from repro.analysis.mhttp import render_mhttp
     from repro.util.units import kb
     from repro.workloads.mhttp import (
@@ -837,29 +772,10 @@ def _cmd_mhttp(args) -> int:
         plan_mhttp,
     )
 
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        ks = [int(v) for v in args.ks.split(",") if v.strip()]
-    except ValueError:
-        print("error: --ks must be comma-separated integers", file=sys.stderr)
-        return 2
+    scenario, clients = _study_scenario([args.site], args.seed, args.clients)
+    ks = _int_list(args.ks, "--ks")
     if not ks or any(k < 2 for k in ks):
-        print("error: stripe widths must be >= 2", file=sys.stderr)
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
-        if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
+        raise _UsageError("stripe widths must be >= 2")
     reps = args.reps
     if args.quick:
         # A fixed tiny campaign: both mechanisms and both injection modes
@@ -882,20 +798,10 @@ def _cmd_mhttp(args) -> int:
         site=args.site,
         clients=clients,
     )
-    with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
-    store = result.store
-    if store is None:  # pragma: no cover - max_units is not exposed here
-        print("campaign incomplete; resume with --checkpoint/--resume")
-        return 1
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_mhttp(store.records))
-    return 0
+    return scenario, plan, render_mhttp
 
 
-def _cmd_chaos(args) -> int:
+def _plan_chaos(args) -> _StudyPlan:
     from repro.analysis.chaos import render_chaos
     from repro.workloads.chaos import (
         CHAOS_SESSION_CONFIG,
@@ -903,23 +809,9 @@ def _cmd_chaos(args) -> int:
         plan_chaos,
     )
 
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
+    scenario, clients = _study_scenario([args.site], args.seed, args.clients)
     families = _split_csv(args.families) or list(FAULT_FAMILIES)
     intensities = _split_csv(args.intensities) or list(FAULT_INTENSITIES)
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
-    )
-    clients = _dedupe("clients", _split_csv(args.clients))
-    if clients:
-        missing = [c for c in clients if c not in scenario.client_names]
-        if missing:
-            print(f"error: unknown clients {missing}", file=sys.stderr)
-            return 2
     reps = args.reps
     if args.quick:
         # A fixed tiny campaign: the two acceptance families at one
@@ -928,36 +820,22 @@ def _cmd_chaos(args) -> int:
         families = ["none", "gray", "correlated"]
         intensities = ["severe"]
         clients = clients or scenario.client_names[:2]
-    try:
-        plan = plan_chaos(
-            scenario,
-            repetitions=reps,
-            interval=args.interval,
-            k=args.k,
-            families=families,
-            intensities=intensities,
-            config=CHAOS_SESSION_CONFIG,
-            params=ChaosStudyParams(),
-            site=args.site,
-            clients=clients,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
-    store = result.store
-    if store is None:  # pragma: no cover - max_units is not exposed here
-        print("campaign incomplete; resume with --checkpoint/--resume")
-        return 1
-    store.save_jsonl(args.out)
-    print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_chaos(store.records))
-    return 0
+    plan = plan_chaos(
+        scenario,
+        repetitions=reps,
+        interval=args.interval,
+        k=args.k,
+        families=families,
+        intensities=intensities,
+        config=CHAOS_SESSION_CONFIG,
+        params=ChaosStudyParams(),
+        site=args.site,
+        clients=clients,
+    )
+    return scenario, plan, render_chaos
 
 
-def _cmd_scale(args) -> int:
+def _plan_scale(args) -> _StudyPlan:
     from repro.analysis.scale import render_scale
     from repro.workloads.scale import (
         SCALE_SESSION_CONFIG,
@@ -965,29 +843,13 @@ def _cmd_scale(args) -> int:
         plan_scale,
     )
 
-    if args.site not in SITES:
-        print(
-            f"error: unknown site {args.site!r}; choose from {list(SITES)}",
-            file=sys.stderr,
-        )
-        return 2
     if args.waves < 1:
-        print("error: --waves must be >= 1", file=sys.stderr)
-        return 2
-    clients = args.clients
-    if args.quick:
-        clients = min(clients, 10_000)
-    try:
-        params = ScaleStudyParams(
-            clients_per_wave=clients,
-            n_relays=args.relays,
-            engine=args.engine,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    scenario = Scenario.build(
-        ScenarioSpec.section2(sites=(args.site,)), seed=args.seed
+        raise _UsageError("--waves must be >= 1")
+    scenario, _ = _study_scenario([args.site], args.seed)
+    params = ScaleStudyParams(
+        clients_per_wave=min(args.clients, 10_000) if args.quick else args.clients,
+        n_relays=args.relays,
+        engine=args.engine,
     )
     plan = plan_scale(
         scenario,
@@ -996,16 +858,43 @@ def _cmd_scale(args) -> int:
         params=params,
         site=args.site,
     )
+    return scenario, plan, render_scale
+
+
+#: Study subcommand -> planner; every study shares :func:`_cmd_study`.
+_STUDY_PLANNERS: Dict[str, Callable[[argparse.Namespace], _StudyPlan]] = {
+    "section2": _plan_section2,
+    "section4": _plan_section4,
+    "failures": _plan_failures,
+    "mhttp": _plan_mhttp,
+    "chaos": _plan_chaos,
+    "scale": _plan_scale,
+}
+
+
+def _cmd_study(args) -> int:
+    """Plan the study, execute it, save the store and print its summary.
+
+    A ``ValueError`` raised while planning (``--reps 0``, a negative
+    ``--interval``, ...) is bad input and exits 2; one raised while the
+    plan executes is an engine fault and propagates.
+    """
+    try:
+        scenario, plan, render = _STUDY_PLANNERS[args.command](args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    runner_kwargs = _runner_kwargs(args)
     with _obs_capture(args):
-        result = execute_plan(plan, scenario=scenario, **_runner_kwargs(args))
+        result = execute_plan(plan, scenario=scenario, **runner_kwargs)
     store = result.store
     if store is None:  # pragma: no cover - max_units is not exposed here
         print("campaign incomplete; resume with --checkpoint/--resume")
         return 1
     store.save_jsonl(args.out)
     print(f"wrote {len(store)} records to {args.out}")
-    print()
-    print(render_scale(store.records))
+    if render is not None:
+        print()
+        print(render(store.records))
     return 0
 
 
@@ -1201,81 +1090,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    # Imported lazily: the perf package pulls in the whole simulator stack.
-    from repro.perf import BENCHES, BenchReport, run_benches
-    from repro.perf.report import (
-        DEFAULT_TOLERANCE,
-        compare_reports,
-        format_comparison,
-        format_report,
-        load_report,
-        seed_missing_baselines,
-    )
-
-    names = _split_csv(args.only)
-    if names:
-        unknown = [n for n in names if n not in BENCHES]
-        if unknown:
-            raise _UsageError(
-                f"unknown bench(es) {unknown}; choose from {list(BENCHES)}"
-            )
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    if tolerance < 0.0:
-        raise _UsageError("--tolerance must be >= 0")
-
-    stored = None
-    if args.baseline is not None:
-        try:
-            stored = load_report(args.baseline)
-        except FileNotFoundError:
-            print(f"error: baseline {args.baseline!r} not found", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    def progress(name: str) -> None:
-        print(f"running {name} ...", file=sys.stderr)
-
-    if args.obs:
-        from repro.obs.core import OBS_ENV_VAR
-
-        saved_obs = os.environ.get(OBS_ENV_VAR)
-        os.environ[OBS_ENV_VAR] = "1"
-        try:
-            results = run_benches(names, quick=args.quick, progress=progress)
-        finally:
-            if saved_obs is None:
-                os.environ.pop(OBS_ENV_VAR, None)
-            else:
-                os.environ[OBS_ENV_VAR] = saved_obs
-    else:
-        results = run_benches(names, quick=args.quick, progress=progress)
-    report = BenchReport.from_results(results, quick=args.quick)
-    # Benches with no seed-path toggle get a recorded yardstick: inherit it
-    # from the report being overwritten (same mode only — quick and full
-    # workloads are not comparable), else record this run as the first.
-    prior = None
-    try:
-        prior = load_report(args.out)
-    except (FileNotFoundError, ValueError):
-        prior = None
-    if prior is not None and prior.quick != args.quick:
-        prior = None
-    seed_missing_baselines(report, prior)
-    print(format_report(report))
-    report.save(args.out)
-    print(f"wrote {args.out}")
-
-    if stored is None:
-        return 0
-    comparisons = compare_reports(report, stored, tolerance=tolerance)
-    print()
-    print(format_comparison(comparisons, tolerance=tolerance))
-    return 1 if any(c.regressed for c in comparisons) else 0
-
-
 def _load_obs_trace(path: str):
     """Load an obs trace, mapping load failures onto exit-code-2 errors."""
     from repro.obs.export import ObsTrace
@@ -1417,18 +1231,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     handlers = {
-        "section2": _cmd_section2,
-        "section4": _cmd_section4,
-        "failures": _cmd_failures,
-        "mhttp": _cmd_mhttp,
-        "chaos": _cmd_chaos,
-        "scale": _cmd_scale,
+        **dict.fromkeys(_STUDY_PLANNERS, _cmd_study),
         "report": _cmd_report,
         "catalog": _cmd_catalog,
         "lint": _cmd_lint,
         "check": _cmd_check,
         "selfcheck": _cmd_selfcheck,
-        "perf": _cmd_perf,
         "obs": _cmd_obs,
     }
     try:

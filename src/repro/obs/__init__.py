@@ -1,8 +1,7 @@
 """repro.obs: unified tracing, metrics and profiling layer.
 
 The observability substrate shared by the simulation kernel, the TCP
-engine, the transfer/resilience core, the campaign runner and the perf
-harness.  See :mod:`repro.obs.core` for the instrumentation primitives and
+engine, the transfer/resilience core and the campaign runner.  See :mod:`repro.obs.core` for the instrumentation primitives and
 :mod:`repro.obs.export` for the exporters (JSONL, Chrome ``trace_event``,
 Prometheus text).
 

@@ -420,30 +420,6 @@ class Observer:
             self.records or self.counters or self.gauges or self.histograms
         )
 
-    def span_summary(self) -> Dict[str, Any]:
-        """Per-category span counts and cumulative durations.
-
-        The shape embedded as ``obs_summary`` in perf reports:
-        ``{"spans": {category: {"count": n, "total_time": s}},
-        "events": m, "dropped": k}`` with categories sorted by name.
-        """
-        per_cat: Dict[str, Dict[str, Any]] = {}
-        n_events = 0
-        for record in self.records:
-            if record.kind != "span":
-                n_events += 1
-                continue
-            bucket = per_cat.setdefault(
-                record.category, {"count": 0, "total_time": 0.0}
-            )
-            bucket["count"] += 1
-            bucket["total_time"] += record.duration
-        return {
-            "spans": {cat: per_cat[cat] for cat in sorted(per_cat)},
-            "events": n_events,
-            "dropped": self.dropped,
-        }
-
     def reset(self) -> None:
         """Drop every metric and record (sequence numbers restart at 0)."""
         self.counters.clear()

@@ -27,8 +27,8 @@ objects, which are amortised O(1) because event times never decrease.
 Setting ``REPRO_ENGINE_BASELINE=1`` (or constructing with
 ``incremental=False``) disables the caches and fast paths and restores the
 seed engine's rebuild-every-tick path.  Both modes produce byte-identical
-results; the flag exists so ``repro perf`` can measure the speedup and CI
-can diff campaign artefacts across the two paths.
+results; the seed path is the reference that the tests and the CI ``cmp``
+of campaign artefacts compare the incremental path against.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ class FluidNetwork:
         Use the incremental allocation-state cache and allocator fast paths
         (default).  ``False`` restores the seed engine's rebuild-every-tick
         path; ``None`` reads ``REPRO_ENGINE_BASELINE`` from the environment.
-        Both modes are byte-identical in output.
+        Both modes are byte-identical in output; the seed path is the
+        reference the tests and the CI ``cmp`` compare against.
     vector:
         Delegate ticks to the struct-of-arrays population engine
         (:class:`repro.vec.engine.VectorCore`).  ``None`` reads
@@ -473,9 +474,9 @@ class FluidNetwork:
                 next_time = min(next_time, cursor.next_change_after(now))
         else:
             # Seed engine path: rebuild every structure from scratch at every
-            # tick.  Kept verbatim as the perf yardstick (REPRO_ENGINE_BASELINE)
-            # and as executable documentation of the semantics the incremental
-            # path must reproduce byte-for-byte.
+            # tick.  Kept verbatim as the reference (REPRO_ENGINE_BASELINE)
+            # that the tests and the CI ``cmp`` hold the incremental path to,
+            # byte-for-byte, and as executable documentation of its semantics.
             flows = list(self._active.values())
             links = []
             link_index: Dict[str, int] = {}

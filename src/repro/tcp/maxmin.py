@@ -69,8 +69,9 @@ def maxmin_allocate(
     fast:
         Enable the vectorised link-disjoint fast path.  ``fast=False``
         forces the progressive-filling reference loop (used by the
-        property-based suite and the ``REPRO_ENGINE_BASELINE`` perf
-        yardstick); the single-flow path predates this flag and is always
+        property-based suite and by the ``REPRO_ENGINE_BASELINE`` seed
+        engine path, the reference the tests and the CI ``cmp`` compare
+        against); the single-flow path predates this flag and is always
         on, as in the seed engine.
     observer:
         Optional :class:`repro.obs.core.Observer`; when given, counts which

@@ -211,6 +211,8 @@ def plan_chaos(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if interval < 0.0:
+        raise ValueError(f"interval must be >= 0, got {interval}")
     if k < 2:
         raise ValueError(f"k must be >= 2 (direct plus >= 1 relay), got {k}")
     if k - 1 > len(scenario.relay_names):

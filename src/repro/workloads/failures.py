@@ -312,6 +312,8 @@ def plan_failures(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if interval < 0.0:
+        raise ValueError(f"interval must be >= 0, got {interval}")
     client_list = list(clients) if clients is not None else scenario.client_names
     units = []
     for client in client_list:

@@ -183,6 +183,8 @@ def plan_mhttp(
 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if interval < 0.0:
+        raise ValueError(f"interval must be >= 0, got {interval}")
     k_list = sorted(set(int(k) for k in ks))
     if not k_list or k_list[0] < 2:
         raise ValueError(f"ks must be integers >= 2, got {list(ks)}")

@@ -340,3 +340,30 @@ class TestFailuresCommand:
         )
         assert rc == 2
         assert "unknown clients" in capsys.readouterr().err
+
+
+class TestBadStudyInput:
+    """Bad study parameters are usage errors, caught before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["section2", "--reps", "0", "--clients", "Italy"],
+            ["section4", "--reps", "0", "--set-sizes", "1"],
+            ["failures", "--reps", "0", "--clients", "Italy"],
+            ["mhttp", "--reps", "0", "--clients", "Italy"],
+            ["chaos", "--reps", "0", "--clients", "Italy"],
+            ["failures", "--interval", "-1", "--reps", "2", "--clients", "Italy"],
+            ["mhttp", "--interval", "-1", "--reps", "2", "--clients", "Italy"],
+            ["chaos", "--interval", "-1", "--reps", "2", "--clients", "Italy"],
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:3]),
+    )
+    def test_exits_2_without_traceback_or_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -151,16 +151,6 @@ class TestSpans:
         assert again.to_dict() == rec.to_dict()
         assert again.duration == 1.0
 
-    def test_span_summary_shape(self):
-        obs = Observer()
-        obs.span("tick", "epoch", 0.0, 2.0)
-        obs.span("tick", "epoch", 2.0, 3.0)
-        obs.event("probe", "selection", 1.0)
-        summary = obs.span_summary()
-        assert summary["spans"]["tick"] == {"count": 2, "total_time": 3.0}
-        assert summary["events"] == 1
-        assert summary["dropped"] == 0
-
     def test_has_data_and_reset(self):
         obs = Observer()
         assert not obs.has_data

@@ -163,22 +163,3 @@ class TestObsCli:
         bad.write_text('{"schema": "repro-obs/1"}\n{broken\n{"metrics": {}}\n')
         rc = main(["obs", "summarize", str(bad)])
         assert rc == 2
-
-
-class TestPerfObsSummary:
-    def test_bench_gains_obs_summary_block(self):
-        from repro.perf.benches import run_benches
-
-        with _env(**{OBS_ENV_VAR: "1", OBS_DIR_ENV_VAR: None}):
-            results = run_benches(["tick_breakpoint"], quick=True)
-        summary = results["tick_breakpoint"].get("obs_summary")
-        assert summary is not None
-        assert summary["spans"]["tick"]["count"] > 0
-
-    def test_no_block_when_disabled(self):
-        from repro.perf.benches import run_benches
-
-        with _env(**{OBS_ENV_VAR: None}):
-            reset_global_observer()
-            results = run_benches(["event_queue"], quick=True)
-        assert "obs_summary" not in results["event_queue"]
